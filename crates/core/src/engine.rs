@@ -31,6 +31,7 @@
 //! assert!((env.active.hi.kilograms() - 9_302.4).abs() < 0.1);
 //! ```
 
+use crate::column::Column;
 use crate::embodied::fleet_snapshot_daily;
 use crate::error::{Error, Result};
 use crate::space::{ScenarioAxis, ScenarioPoint, ScenarioSpace};
@@ -403,9 +404,9 @@ pub(crate) fn materialise(space: &ScenarioSpace, tables: &EvalTables) -> SpaceRe
     let (active, embodied, total) = tables.fill_columns(0, space.len());
     SpaceResults {
         space: space.clone(),
-        active,
-        embodied,
-        total,
+        active: active.into(),
+        embodied: embodied.into(),
+        total: total.into(),
         sorted: OnceLock::new(),
     }
 }
@@ -422,9 +423,9 @@ pub(crate) fn evaluate_into(space: &ScenarioSpace, tables: &EvalTables, out: &mu
     tables.fill_columns_into(
         0,
         space.len(),
-        &mut out.active,
-        &mut out.embodied,
-        &mut out.total,
+        out.active.vec_mut(),
+        out.embodied.vec_mut(),
+        out.total.vec_mut(),
     );
 }
 
@@ -472,9 +473,9 @@ pub(crate) fn par_materialise(
     }
     SpaceResults {
         space: space.clone(),
-        active,
-        embodied,
-        total,
+        active: active.into(),
+        embodied: embodied.into(),
+        total: total.into(),
         sorted: OnceLock::new(),
     }
 }
@@ -486,9 +487,10 @@ pub(crate) fn stream_points(
     tables: &EvalTables,
     mut sink: impl FnMut(PointResult),
 ) {
-    tables.for_each(0, space.len(), |idx, outcome| {
+    let lookup = space.lookup();
+    tables.for_each(0, space.len(), move |idx, outcome| {
         sink(PointResult {
-            point: space
+            point: lookup
                 .point(idx)
                 .expect("kernel indices are in range by construction"),
             outcome,
@@ -515,6 +517,7 @@ pub(crate) fn par_stream_points(
     if threads <= 1 {
         return stream_points(space, tables, sink);
     }
+    let lookup = space.lookup();
     let mut wave_start = 0usize;
     while wave_start < n {
         let wave_end = (wave_start + threads * STREAM_CHUNK_POINTS).min(n);
@@ -542,7 +545,7 @@ pub(crate) fn par_stream_points(
         for (active, embodied) in parts {
             for (a, e) in active.into_iter().zip(embodied) {
                 sink(PointResult {
-                    point: space
+                    point: lookup
                         .point(idx)
                         .expect("kernel indices are in range by construction"),
                     outcome: PointOutcome {
@@ -850,11 +853,13 @@ impl AssessmentBuilder {
 /// in the space's index order.
 ///
 /// Columns are stored separately (struct-of-arrays) so envelope,
-/// percentile and marginal queries scan contiguous memory. The query
-/// surface (envelope / quantiles / marginals) lives in
-/// [`crate::stats_view`]; quantile queries share a lazily built sorted
-/// view of the total column, so repeated queries cost O(1) after the
-/// first.
+/// percentile and marginal queries scan contiguous memory. Each column
+/// (and the CI axis) is a `Vec` plus a head offset, so
+/// [`SpaceResults::retract_rows`] drops the oldest rows without moving
+/// the survivors. The query surface (envelope / quantiles / marginals)
+/// lives in [`crate::stats_view`]; quantile queries share a lazily
+/// built sorted view of the total column, so repeated queries cost
+/// O(1) after the first.
 ///
 /// # Invariant
 ///
@@ -868,9 +873,9 @@ impl AssessmentBuilder {
 #[derive(Clone, Debug)]
 pub struct SpaceResults {
     pub(crate) space: ScenarioSpace,
-    pub(crate) active: Vec<CarbonMass>,
-    pub(crate) embodied: Vec<CarbonMass>,
-    pub(crate) total: Vec<CarbonMass>,
+    pub(crate) active: Column<CarbonMass>,
+    pub(crate) embodied: Column<CarbonMass>,
+    pub(crate) total: Column<CarbonMass>,
     /// Lazily built ascending view of `total` in kilograms (see
     /// [`crate::stats_view`]); folded into in place by
     /// [`SpaceResults::extend_rows`], dropped on re-fill by

@@ -95,6 +95,7 @@
 
 pub mod active;
 pub mod assessment;
+mod column;
 pub mod embodied;
 pub mod engine;
 pub mod equivalence;

@@ -13,6 +13,7 @@
 //! lifespan innermost; this ordering is part of the API contract (the
 //! Table 3/4 adapters rely on it) and is stable.
 
+use crate::column::Column;
 use crate::error::{Error, Result};
 use iriscast_units::sample::Lerp;
 use iriscast_units::{Bounds, CarbonIntensity, CarbonMass, Pue, TriEstimate};
@@ -26,7 +27,7 @@ use iriscast_units::{Bounds, CarbonIntensity, CarbonMass, Pue, TriEstimate};
 #[derive(Debug, PartialEq)]
 pub struct ScenarioAxis<T> {
     name: String,
-    samples: Vec<T>,
+    samples: Column<T>,
 }
 
 // Hand-written so `clone_from` reuses the existing name/sample
@@ -55,14 +56,17 @@ impl<T> ScenarioAxis<T> {
         if samples.is_empty() {
             return Err(Error::EmptyAxis { axis: name });
         }
-        Ok(ScenarioAxis { name, samples })
+        Ok(ScenarioAxis {
+            name,
+            samples: samples.into(),
+        })
     }
 
     /// A one-sample axis: the input is held fixed rather than swept.
     pub fn singleton(name: impl Into<String>, value: T) -> Self {
         ScenarioAxis {
             name: name.into(),
-            samples: vec![value],
+            samples: vec![value].into(),
         }
     }
 
@@ -100,12 +104,13 @@ impl<T> ScenarioAxis<T> {
 
     /// Removes the **oldest** `k` samples — the front of the list, the
     /// exact inverse of `k` samples appended by
-    /// [`ScenarioAxis::extend_from`]. The caller
-    /// ([`ScenarioSpace::retract_ci`]) guarantees `k < len()`, so the
-    /// never-empty invariant survives.
+    /// [`ScenarioAxis::extend_from`]. O(1): the samples sit in a
+    /// front-trimmable column that reclaims the dead prefix on a later
+    /// append. The caller ([`ScenarioSpace::retract_ci`]) guarantees
+    /// `k < len()`, so the never-empty invariant survives.
     pub(crate) fn retract_front(&mut self, k: usize) {
         debug_assert!(k < self.samples.len(), "an axis must stay non-empty");
-        self.samples.drain(..k);
+        self.samples.drop_front(k);
     }
 
     /// Borrowing iterator over the samples.
@@ -120,7 +125,7 @@ impl<T: Copy> ScenarioAxis<T> {
     pub fn from_tri(name: impl Into<String>, tri: TriEstimate<T>) -> Self {
         ScenarioAxis {
             name: name.into(),
-            samples: tri.to_vec(),
+            samples: tri.to_vec().into(),
         }
     }
 
@@ -312,18 +317,7 @@ impl ScenarioSpace {
 
     /// Decodes a flat index into per-axis coordinates.
     pub fn coords(&self, index: usize) -> Result<[usize; 4]> {
-        let len = self.len();
-        if index >= len {
-            return Err(Error::PointOutOfRange { index, len });
-        }
-        let [_, n_pue, n_emb, n_life] = self.shape();
-        let life_i = index % n_life;
-        let rest = index / n_life;
-        let emb_i = rest % n_emb;
-        let rest = rest / n_emb;
-        let pue_i = rest % n_pue;
-        let ci_i = rest / n_pue;
-        Ok([ci_i, pue_i, emb_i, life_i])
+        coords_in(self.shape(), index)
     }
 
     /// Encodes per-axis coordinates into a flat index (the inverse of
@@ -342,16 +336,20 @@ impl ScenarioSpace {
 
     /// Resolves the scenario at a flat index.
     pub fn point(&self, index: usize) -> Result<ScenarioPoint> {
-        let coords = self.coords(index)?;
-        let [ci_i, pue_i, emb_i, life_i] = coords;
-        Ok(ScenarioPoint {
-            index,
-            coords,
-            ci: self.ci.samples()[ci_i],
-            pue: self.pue.samples()[pue_i],
-            embodied_per_server: self.embodied.samples()[emb_i],
-            lifespan_years: self.lifespan_years.samples()[life_i],
-        })
+        self.lookup().point(index)
+    }
+
+    /// Borrows the four axes' samples once, for resolving many points:
+    /// each borrow of an axis re-derives its live slice (see
+    /// [`ScenarioAxis::retract_front`]), which the per-point streaming
+    /// loops would otherwise pay four times a point.
+    pub(crate) fn lookup(&self) -> PointLookup<'_> {
+        PointLookup {
+            ci: self.ci.samples(),
+            pue: self.pue.samples(),
+            embodied: self.embodied.samples(),
+            lifespan_years: self.lifespan_years.samples(),
+        }
     }
 
     /// Appends another CI axis's samples to this space's carbon-intensity
@@ -382,11 +380,61 @@ impl ScenarioSpace {
 
     /// Iterates every scenario point in index order.
     pub fn points(&self) -> impl Iterator<Item = ScenarioPoint> + '_ {
-        (0..self.len()).map(|i| {
-            self.point(i)
+        let lookup = self.lookup();
+        (0..self.len()).map(move |i| {
+            lookup
+                .point(i)
                 .expect("index < len is in range by construction")
         })
     }
+}
+
+/// A space's four sample lists, borrowed once (see
+/// [`ScenarioSpace::lookup`]).
+pub(crate) struct PointLookup<'a> {
+    ci: &'a [CarbonIntensity],
+    pue: &'a [Pue],
+    embodied: &'a [CarbonMass],
+    lifespan_years: &'a [f64],
+}
+
+impl PointLookup<'_> {
+    /// Resolves the scenario at a flat index.
+    pub(crate) fn point(&self, index: usize) -> Result<ScenarioPoint> {
+        let shape = [
+            self.ci.len(),
+            self.pue.len(),
+            self.embodied.len(),
+            self.lifespan_years.len(),
+        ];
+        let coords = coords_in(shape, index)?;
+        let [ci_i, pue_i, emb_i, life_i] = coords;
+        Ok(ScenarioPoint {
+            index,
+            coords,
+            ci: self.ci[ci_i],
+            pue: self.pue[pue_i],
+            embodied_per_server: self.embodied[emb_i],
+            lifespan_years: self.lifespan_years[life_i],
+        })
+    }
+}
+
+/// Decodes a flat row-major index into per-axis coordinates for a
+/// space of the given shape.
+fn coords_in(shape: [usize; 4], index: usize) -> Result<[usize; 4]> {
+    let len = shape.iter().product();
+    if index >= len {
+        return Err(Error::PointOutOfRange { index, len });
+    }
+    let [_, n_pue, n_emb, n_life] = shape;
+    let life_i = index % n_life;
+    let rest = index / n_life;
+    let emb_i = rest % n_emb;
+    let rest = rest / n_emb;
+    let pue_i = rest % n_pue;
+    let ci_i = rest / n_pue;
+    Ok([ci_i, pue_i, emb_i, life_i])
 }
 
 #[cfg(test)]

@@ -37,6 +37,15 @@
 //! O(1) and allocation-free, and every query answers bit-identically to
 //! a from-scratch batch evaluation over the concatenated CI axis (the
 //! property suites pin this at arbitrary split points).
+//!
+//! [`SpaceResults::retract_rows`] is the inverse: it evicts the oldest
+//! CI blocks. Its cost depends on the view. On a **cold** view it is
+//! O(evicted block), amortised: each column is a `Vec` plus a head
+//! offset, eviction only advances the offset, and the dead prefix is
+//! compacted away only when a later append would otherwise reallocate —
+//! so memory is never above that of a plain front-drained `Vec`. On a
+//! **warm** view the evicted totals are also subtracted from the sorted
+//! view, an O(view) sweep.
 
 use crate::engine::SpaceResults;
 use crate::error::{Error, Result};
@@ -231,6 +240,12 @@ impl SpaceResults {
     /// queries between folds stay O(1) and allocation-free; a cold view
     /// stays cold (nothing to keep warm).
     ///
+    /// Cost: O(appended rows), amortised, plus the galloping merge on
+    /// a warm view. An append that would reallocate a column first
+    /// compacts away the rows earlier evictions left dead (see
+    /// [`SpaceResults::retract_rows`]), so capacity grows only when
+    /// the live rows need it.
+    ///
     /// Only the CI axis may grow because it is outermost in the
     /// row-major point order: appending its samples appends whole
     /// contiguous blocks of points, leaving every existing index,
@@ -266,7 +281,7 @@ impl SpaceResults {
     ///
     /// CI is outermost in the row-major point order, so the oldest
     /// samples own the leading `ci_samples · (len / ci_len)` rows of
-    /// every column: retraction is a plain front drain, and the
+    /// every column: retraction drops a column prefix, and the
     /// surviving batch is **bit-identical** — columns, envelope,
     /// quantiles, marginals — to one into which the evicted blocks were
     /// *never folded at all* (the retention property suites pin this).
@@ -274,6 +289,14 @@ impl SpaceResults {
     /// place (`StatsAccumulator::retract`) rather than being dropped,
     /// so quantile queries across an eviction stay O(1) and
     /// allocation-free; a cold view stays cold.
+    ///
+    /// Cost: on a cold view, O(evicted block) amortised. The columns
+    /// and the CI axis only advance a head offset past the evicted
+    /// rows; the dead prefix is compacted away by the next
+    /// [`SpaceResults::extend_rows`] that would otherwise reallocate,
+    /// so memory is never above that of a plain front-drained `Vec`.
+    /// On a warm view the subtraction from the sorted view is an
+    /// O(view) sweep.
     ///
     /// `ci_samples == 0` is a no-op. At least one CI sample must
     /// survive (results are non-empty by invariant):
@@ -292,13 +315,13 @@ impl SpaceResults {
         }
         let rows = ci_samples * (self.total.len() / available);
         // Subtract from the warm view first — it needs the evicted
-        // totals, which the drains below destroy.
+        // totals, which the drops below discard.
         if let Some(view) = self.sorted.get_mut() {
             view.retract(&self.total[..rows]);
         }
-        self.active.drain(..rows);
-        self.embodied.drain(..rows);
-        self.total.drain(..rows);
+        self.active.drop_front(rows);
+        self.embodied.drop_front(rows);
+        self.total.drop_front(rows);
         self.space.retract_ci(ci_samples);
         self.debug_assert_invariant();
         Ok(())

@@ -70,6 +70,19 @@ pub enum ServeError {
         /// The snapshot's sequence number.
         seq: u64,
     },
+    /// A snapshot whose energy is not a finite, non-negative figure
+    /// (NaN, ±∞ or below zero). Refused at the ingest boundary, before
+    /// evaluation: folded, it would poison the site's energy ledger
+    /// (and every federation export of it) and make quantile queries
+    /// fail with non-finite data.
+    InvalidEnergy {
+        /// The site the snapshot belongs to.
+        site: String,
+        /// The snapshot's sequence number.
+        seq: u64,
+        /// The rejected energy, kWh.
+        energy_kwh: f64,
+    },
     /// A retention bound of zero windows — the ensemble must always
     /// keep at least its newest window, or every query surface would
     /// collapse to [`ServeError::NoData`] the moment retention ran.
@@ -138,6 +151,15 @@ impl fmt::Display for ServeError {
                 "site {site}: snapshot seq {seq} carries no energy estimate \
                  from any measurement method"
             ),
+            ServeError::InvalidEnergy {
+                site,
+                seq,
+                energy_kwh,
+            } => write!(
+                f,
+                "site {site}: snapshot seq {seq} energy {energy_kwh} kWh is not \
+                 a finite non-negative figure"
+            ),
             ServeError::InvalidRetention { site } => {
                 write!(f, "site {site}: retention must keep at least one window")
             }
@@ -190,6 +212,13 @@ mod tests {
         assert!(e.to_string().contains("-1"));
         use std::error::Error as _;
         assert!(e.source().is_none());
+        let e = ServeError::InvalidEnergy {
+            site: "KCL".into(),
+            seq: 4,
+            energy_kwh: f64::NAN,
+        };
+        assert!(e.to_string().contains("seq 4"));
+        assert!(e.to_string().contains("NaN"));
         let e = ServeError::Model(ModelError::InvalidFraction { value: 2.0 });
         assert!(e.source().is_some());
     }

@@ -51,6 +51,20 @@ impl SnapshotRecord {
         })
     }
 
+    /// Refuses a record whose energy is not a finite, non-negative
+    /// figure: [`ServeError::InvalidEnergy`].
+    pub(crate) fn check_energy(&self) -> ServeResult<()> {
+        if self.energy_kwh.is_finite() && self.energy_kwh >= 0.0 {
+            Ok(())
+        } else {
+            Err(ServeError::InvalidEnergy {
+                site: self.site.clone(),
+                seq: self.seq,
+                energy_kwh: self.energy_kwh,
+            })
+        }
+    }
+
     /// The window length.
     pub fn window(&self) -> SimDuration {
         SimDuration::from_secs(self.window_end_s - self.window_start_s)

@@ -378,9 +378,13 @@ impl AssessmentService {
         state.fold_ready()
     }
 
-    /// Evaluates and folds one snapshot, synchronously.
+    /// Evaluates and folds one snapshot, synchronously. A record for an
+    /// unknown site, or with a non-finite or negative energy
+    /// ([`ServeError::InvalidEnergy`]), is refused before evaluation
+    /// and leaves the site's state untouched.
     pub fn ingest(&self, record: &SnapshotRecord) -> ServeResult<()> {
         let model = self.model_of(&record.site)?;
+        record.check_energy()?;
         let block = model.evaluate(record)?;
         self.fold_evaluated(record, block)
     }
@@ -391,12 +395,19 @@ impl AssessmentService {
     /// order, so the resulting state is **bit-identical at every worker
     /// count** (the property suite pins 1 ≡ 16). Returns the number of
     /// snapshots folded.
+    ///
+    /// An unknown site or an invalid energy anywhere in the batch fails
+    /// it before any evaluation starts, so nothing is folded.
     pub fn ingest_batch(&self, records: &[SnapshotRecord], workers: usize) -> ServeResult<usize> {
-        // Resolve every model up front so an unknown site fails the
-        // batch before any evaluation work starts.
+        // Resolve every model and check every energy up front so a bad
+        // record fails the batch before any evaluation work starts.
         let jobs: Vec<(SnapshotRecord, SiteModel)> = records
             .iter()
-            .map(|r| Ok((r.clone(), self.model_of(&r.site)?)))
+            .map(|r| {
+                let model = self.model_of(&r.site)?;
+                r.check_energy()?;
+                Ok((r.clone(), model))
+            })
             .collect::<ServeResult<_>>()?;
         if workers <= 1 {
             for (record, model) in &jobs {
@@ -499,6 +510,12 @@ impl AssessmentService {
         f(results)
     }
 
+    /// A detached copy of the site's current scenario ensemble: the
+    /// retained windows' rows only, in fold order.
+    pub fn results(&self, site: &str) -> ServeResult<SpaceResults> {
+        self.with_results(site, |r| Ok(r.clone()))
+    }
+
     /// The site's joint active/embodied/total envelope.
     pub fn envelope(&self, site: &str) -> ServeResult<Envelope> {
         self.with_results(site, |r| Ok(r.envelope()))
@@ -599,7 +616,13 @@ impl AssessmentService {
 
     /// Bounds a site's ensemble to its most recent `windows` folded
     /// windows, evicting the oldest as new ones fold in — the
-    /// sliding-window retention policy. Eviction is *exact*:
+    /// sliding-window retention policy. Each eviction costs O(one
+    /// window's rows), amortised, while the site's sorted view is cold
+    /// (it only advances the columns' head offset; the dead rows are
+    /// compacted away when a later fold would otherwise reallocate, so
+    /// memory is never above a plain `Vec` of the retained rows), and
+    /// O(retained rows) while a quantile query has warmed the view (the
+    /// evicted totals are subtracted from it). Eviction is *exact*:
     /// [`SpaceResults::retract_rows`] is the bitwise inverse of the
     /// fold, so a service that kept windows `k..n` answers every query
     /// with the same bits as one that only ever saw `k..n` (the
@@ -852,6 +875,60 @@ mod tests {
         // Energy ledger is NOT rewound by eviction.
         let all: f64 = records.iter().map(|r| r.energy_kwh).fold(0.0, |a, b| a + b);
         assert_eq!(retained.site_energy_kwh("CAM").unwrap(), all);
+    }
+
+    #[test]
+    fn nan_energy_is_refused_before_evaluation() {
+        let service = AssessmentService::new();
+        service.register_site("CAM", model()).unwrap();
+        service.ingest(&record(0, 4_800.0)).unwrap();
+        let before = service.watermark("CAM").unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let err = service.ingest(&record(1, bad)).unwrap_err();
+            assert!(
+                matches!(err, ServeError::InvalidEnergy { seq: 1, .. }),
+                "{err:?}"
+            );
+        }
+        // A batch carrying one bad record folds nothing, even the good
+        // record ahead of it.
+        let err = service
+            .ingest_batch(&[record(1, 4_900.0), record(2, f64::NAN)], 4)
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidEnergy { seq: 2, .. }));
+        assert_eq!(service.watermark("CAM").unwrap(), before);
+        assert_eq!(service.site_energy_kwh("CAM").unwrap(), 4_800.0);
+        // The site still answers, and seq 1 is still the next fold.
+        assert!(service.percentile("CAM", 0.5).is_ok());
+        service.ingest(&record(1, 4_900.0)).unwrap();
+        assert_eq!(service.watermark("CAM").unwrap().folded, 2);
+    }
+
+    #[test]
+    fn negative_energy_is_refused_before_evaluation() {
+        let service = AssessmentService::new();
+        service.register_site("CAM", model()).unwrap();
+        let err = service.ingest(&record(0, -5.0)).unwrap_err();
+        assert_eq!(
+            err,
+            ServeError::InvalidEnergy {
+                site: "CAM".into(),
+                seq: 0,
+                energy_kwh: -5.0,
+            }
+        );
+        let err = service.ingest_batch(&[record(0, -5.0)], 1).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidEnergy { seq: 0, .. }));
+        let w = service.watermark("CAM").unwrap();
+        assert_eq!((w.folded, w.pending, w.points), (0, 0, 0));
+        assert_eq!(service.site_energy_kwh("CAM").unwrap(), 0.0);
+        assert!(matches!(
+            service.percentile("CAM", 0.5).unwrap_err(),
+            ServeError::NoData { .. }
+        ));
+        // Zero energy (an idle window) is a valid figure.
+        service.ingest(&record(0, 0.0)).unwrap();
+        assert_eq!(service.watermark("CAM").unwrap().folded, 1);
     }
 
     #[test]

@@ -199,6 +199,66 @@ proptest! {
         }
     }
 
+    /// Retention stays exact over long histories. With 50–400 windows
+    /// and up to 39 kept, the columns' dead prefix is compacted many
+    /// times. The warm service is queried every few folds, so it also
+    /// subtracts every eviction from its sorted view; the cold one is
+    /// queried only at the end. Both must equal, bit for bit, a fresh
+    /// service that only ever ingested the survivors, and a copy of
+    /// each one's ensemble must equal the reference ensemble.
+    #[test]
+    fn long_retained_history_equals_never_ingested(
+        energies in prop::collection::vec(500.0f64..30_000.0, 50..400),
+        keep in 1usize..40,
+        warm_every in 2usize..6,
+    ) {
+        let recs = records("CAM", &energies, 6);
+        let first_kept = recs.len() - keep;
+
+        // The reference: a fresh service fed only the survivors,
+        // renumbered from seq 0.
+        let fresh = AssessmentService::new();
+        fresh.register_site("CAM", model()).unwrap();
+        for r in &recs[first_kept..] {
+            let mut r = r.clone();
+            r.seq -= first_kept as u64;
+            fresh.ingest(&r).unwrap();
+        }
+        let expected = reference(&model(), &recs[first_kept..]);
+        prop_assert_eq!(&fresh.results("CAM").unwrap(), &expected);
+
+        let warm = AssessmentService::new();
+        warm.register_site("CAM", model()).unwrap();
+        warm.set_retention("CAM", keep).unwrap();
+        for (i, r) in recs.iter().enumerate() {
+            warm.ingest(r).unwrap();
+            if i % warm_every == 0 {
+                warm.percentile("CAM", 0.5).unwrap();
+            } else if i % warm_every == 1 {
+                warm.summary("CAM").unwrap();
+            }
+        }
+
+        let cold = AssessmentService::new();
+        cold.register_site("CAM", model()).unwrap();
+        cold.set_retention("CAM", keep).unwrap();
+        prop_assert_eq!(cold.ingest_batch(&recs, 1).unwrap(), recs.len());
+
+        for service in [&warm, &cold] {
+            let w = service.watermark("CAM").unwrap();
+            prop_assert_eq!(w.evicted as usize, first_kept);
+            prop_assert_eq!(w.points, keep * model().points_per_snapshot());
+            let copy = service.results("CAM").unwrap();
+            prop_assert_eq!(&copy, &expected);
+            let bits = |r: &SpaceResults| -> Vec<u64> {
+                r.totals().iter().map(|t| t.kilograms().to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&copy), bits(&expected));
+            assert_state_matches(service, "CAM", &expected);
+            assert_state_matches(service, "CAM", &fresh.results("CAM").unwrap());
+        }
+    }
+
     /// A replayed sequence number is refused without corrupting the
     /// folded state.
     #[test]

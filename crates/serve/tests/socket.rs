@@ -165,6 +165,31 @@ fn malformed_frames_mid_stream_do_not_sever_the_connection() {
 }
 
 #[test]
+fn invalid_energy_is_refused_over_the_wire_and_changes_nothing() {
+    let (service, server) = served_service();
+    let mut client = SocketClient::connect_tcp(server.addr()).unwrap();
+    let ack = client.ingest(&record("CAM", 0, 4_800.0)).unwrap();
+    assert!(ack.ok);
+    let before = service.watermark("CAM").unwrap();
+
+    let nack = client.ingest(&record("CAM", 1, -5.0)).unwrap();
+    assert!(!nack.ok);
+    assert_eq!(nack.ask, "ingest");
+    assert!(nack.error.unwrap().contains("finite non-negative"));
+
+    // The site's watermark and energy ledger are as they were, and the
+    // refused seq can still be folded with a valid figure.
+    assert_eq!(service.watermark("CAM").unwrap(), before);
+    assert_eq!(service.site_energy_kwh("CAM").unwrap(), 4_800.0);
+    let ack = client.ingest(&record("CAM", 1, 4_900.0)).unwrap();
+    assert!(ack.ok);
+    assert_eq!(ack.folded, Some(2));
+
+    let stats = server.shutdown();
+    assert_eq!((stats.ingested, stats.rejected), (2, 1));
+}
+
+#[test]
 fn interleaved_clients_share_one_service_without_crosstalk() {
     let (service, server) = served_service();
     // Seed one window so queries answer.
