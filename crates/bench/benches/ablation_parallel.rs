@@ -1,6 +1,8 @@
 //! Ablation: collector parallelism. The collector guarantees identical
-//! output for any worker count; this bench quantifies what the chunked
-//! crossbeam fan-out buys over the serial loop.
+//! output for any worker count; this bench quantifies what fanning its
+//! node chunks out over the persistent worker pool
+//! (`iriscast_telemetry::par::pool_fill_indexed`) buys over the serial
+//! loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_bench::synthetic_site;

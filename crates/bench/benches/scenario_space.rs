@@ -1,17 +1,9 @@
 //! Scenario-space engine bench: batch throughput at 1k / 10k / 100k
-//! points, serial vs parallel.
+//! points.
 //!
 //! The spaces refine the paper's parameter ranges (CI 50–300 g/kWh,
 //! PUE 1.1–1.6, embodied 400–1,100 kg, lifespan 3–7 y) to increasing
 //! resolution, so every point is a physically meaningful scenario.
-//!
-//! Threshold note: `par_evaluate_space` falls back to serial below
-//! `iriscast_model::engine::PAR_SERIAL_CUTOFF` (2^17 = 131,072 points).
-//! The PR 2 trajectory measured 13.8 µs parallel vs 2.6 µs serial at 864
-//! points with break-even just above 10^5 on the dev container; with the
-//! fallback (checked *before* the `available_parallelism` syscall, which
-//! alone costs ~10 µs) the sub-cutoff sizes here time identically to the
-//! serial path, bit-identical by construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_model::{paper, Assessment};
@@ -62,11 +54,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("evaluate_space", n),
             &assessment,
             |b, a| b.iter(|| black_box(a.evaluate_space())),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("par_evaluate_space", n),
-            &assessment,
-            |b, a| b.iter(|| black_box(a.par_evaluate_space(0))),
         );
     }
 

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_bench::{bench_iris_scenario, synthetic_site};
-use iriscast_telemetry::{CollectScratch, FillBackend, SiteCollector, SyntheticUtilization};
+use iriscast_telemetry::{CollectScratch, SiteCollector, SyntheticUtilization};
 use iriscast_units::Period;
 use rand::rngs::StdRng;
 use rand::{BoxMullerNormal, Rng, SeedableRng, StandardNormal};
@@ -45,30 +45,6 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
-    }
-
-    // Pool vs per-call thread spawn at the largest single site: the two
-    // backends are bit-identical; the delta is pure dispatch overhead.
-    {
-        let cfg = synthetic_site(512, 42);
-        let collector = SiteCollector::new(cfg);
-        let util = SyntheticUtilization::calibrated(0.6, 7);
-        let mut scratch = CollectScratch::new();
-        g.bench_function("site_collect_spawn/512", |b| {
-            b.iter(|| {
-                let r = collector
-                    .collect_with_backend(
-                        Period::snapshot_24h(),
-                        &util,
-                        8,
-                        &mut scratch,
-                        FillBackend::Spawn,
-                    )
-                    .expect("bench site is valid");
-                black_box(&r);
-                scratch.recycle(r);
-            })
-        });
     }
 
     // The normal-variate samplers the meter error models draw from —

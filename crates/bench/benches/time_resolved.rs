@@ -1,5 +1,5 @@
 //! Time-resolved engine bench: half-hourly energy × intensity series
-//! convolved over scenario spaces, materialised vs streamed vs parallel.
+//! convolved over scenario spaces, materialised vs streamed vs chunked.
 //!
 //! Spaces mirror `scenario_space.rs` but the CI axis carries whole *days*
 //! of half-hourly intensity data (48 slots each) instead of scalars, so
@@ -7,13 +7,6 @@
 //! factors each (CI series, PUE) pair into one precomputed convolution,
 //! so per-point cost must stay flat in series length — these benches pin
 //! that down, along with the streaming paths' 10M-point throughput.
-//!
-//! Parallel note: `par_evaluate_space` falls back to serial below
-//! `iriscast_model::engine::PAR_SERIAL_CUTOFF` (2^17 points) — the PR 2
-//! trajectory measured 13.8 µs parallel vs 2.6 µs serial at 864 points,
-//! with break-even just above 10^5 — so the sub-cutoff sizes here time
-//! the fallback (identical to serial by construction) and the 200k/10M
-//! sizes time genuine thread fan-out.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iriscast_grid::IntensitySeries;
@@ -78,21 +71,16 @@ fn assessment_of(n_ci: usize, side: usize) -> TimeResolvedAssessment {
 /// Streaming fold used by the 10M-point benches: envelope + count, the
 /// cheapest useful consumer (anything heavier would time the sink, not
 /// the engine).
-fn stream_fold(a: &TimeResolvedAssessment, par: bool) -> (usize, CarbonMass, CarbonMass) {
+fn stream_fold(a: &TimeResolvedAssessment) -> (usize, CarbonMass, CarbonMass) {
     let mut n = 0usize;
     let mut lo = CarbonMass::from_kilograms(f64::INFINITY);
     let mut hi = CarbonMass::ZERO;
-    let sink = |p: iriscast_model::PointResult| {
+    a.stream_space(|p| {
         let t = p.outcome.total();
         lo = lo.min(t);
         hi = hi.max(t);
         n += 1;
-    };
-    if par {
-        a.par_stream_space(0, sink);
-    } else {
-        a.stream_space(sink);
-    }
+    });
     (n, lo, hi)
 }
 
@@ -107,8 +95,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(builder.clone().build().unwrap()))
     });
 
-    // Materialised evaluation across the PAR_SERIAL_CUTOFF boundary:
-    // 864 and 10k/93k fall back to serial, 209k fans out for real.
+    // Materialised evaluation from 864 to 209k points.
     for &(n_ci, side) in &[(4usize, 6usize), (10, 10), (16, 18), (51, 16)] {
         let assessment = assessment_of(n_ci, side);
         let n = assessment.space().len();
@@ -116,11 +103,6 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("evaluate_space", n),
             &assessment,
             |b, a| b.iter(|| black_box(a.evaluate_space())),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("par_evaluate_space", n),
-            &assessment,
-            |b, a| b.iter(|| black_box(a.par_evaluate_space(0))),
         );
     }
 
@@ -133,10 +115,7 @@ fn bench(c: &mut Criterion) {
     let n = huge.space().len();
     assert!(n > 10_000_000, "space holds {n} points");
     g.bench_with_input(BenchmarkId::new("stream_space", n), &huge, |b, a| {
-        b.iter(|| black_box(stream_fold(a, false)))
-    });
-    g.bench_with_input(BenchmarkId::new("par_stream_space", n), &huge, |b, a| {
-        b.iter(|| black_box(stream_fold(a, true)))
+        b.iter(|| black_box(stream_fold(a)))
     });
     g.bench_with_input(BenchmarkId::new("chunks_64k", n), &huge, |b, a| {
         b.iter(|| {

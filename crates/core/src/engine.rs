@@ -4,7 +4,7 @@
 //! figure, one fleet, and a [`ScenarioSpace`] of model inputs, evaluated
 //! to `total = active + embodied` at every point. The paper's Tables 3
 //! and 4 are tiny spaces (3 × 3 and 2 × 5); the engine evaluates spaces of
-//! any cardinality, serially or chunked across threads, and answers
+//! any cardinality, materialised, streamed or chunked, and answers
 //! envelope/percentile/marginal queries over the batch.
 //!
 //! Entry point: [`Assessment::builder`].
@@ -240,18 +240,6 @@ impl Assessment {
         evaluate_into(&self.space, self.tables(), out);
     }
 
-    /// Evaluates the space chunked across `threads` OS threads (via the
-    /// crossbeam scope shim). Results are identical — not just close — to
-    /// [`Assessment::evaluate_space`]: each point's arithmetic is the
-    /// same, only the loop is partitioned. Spaces smaller than
-    /// [`PAR_SERIAL_CUTOFF`] are evaluated serially (the answer is
-    /// bit-identical either way; below the cutoff serial is faster).
-    ///
-    /// `threads == 0` selects the machine's available parallelism.
-    pub fn par_evaluate_space(&self, threads: usize) -> SpaceResults {
-        par_materialise(&self.space, self.tables(), threads)
-    }
-
     /// Streams every point, in index order, to `sink` — no result
     /// columns are materialised, so memory stays O(1) in the space's
     /// cardinality. This is how >10M-point sweeps stay inside a bounded
@@ -259,17 +247,6 @@ impl Assessment {
     /// use [`Assessment::evaluate_space`] instead.
     pub fn stream_space(&self, sink: impl FnMut(PointResult)) {
         stream_points(&self.space, self.tables(), sink);
-    }
-
-    /// Streamed evaluation with the per-point arithmetic chunked across
-    /// `threads` OS threads. `sink` still observes every point in index
-    /// order, and every value is bit-identical to
-    /// [`Assessment::stream_space`]; memory is bounded by
-    /// `threads × `[`STREAM_CHUNK_POINTS`] points in flight.
-    ///
-    /// `threads == 0` selects the machine's available parallelism.
-    pub fn par_stream_space(&self, threads: usize, sink: impl FnMut(PointResult)) {
-        par_stream_points(&self.space, self.tables(), threads, sink);
     }
 
     /// Iterates the space as materialised chunks of at most
@@ -282,25 +259,11 @@ impl Assessment {
     }
 }
 
-/// Below this many points `par_evaluate_space` falls back to the serial
-/// path. Per-point work is two table reads and one add, so thread
-/// spawn/join overhead dominates small batches: the PR 2 trajectory
-/// measured 13.8 µs parallel vs 2.6 µs serial at 864 points, with
-/// break-even sitting just above 10⁵ points on the dev container (see
-/// `crates/bench/benches/scenario_space.rs`). The fallback is safe
-/// because both paths are bit-identical by construction.
-pub const PAR_SERIAL_CUTOFF: usize = 1 << 17;
-
-/// Points per in-flight chunk for the streaming evaluators — small
-/// enough that `threads × STREAM_CHUNK_POINTS × 3` columns stay a few
-/// megabytes, large enough to amortise thread spawn/join.
-pub const STREAM_CHUNK_POINTS: usize = 1 << 16;
-
 /// Precomputed per-(CI, PUE) active and per-(embodied, lifespan) fleet
 /// charges — the shared kernel every evaluation path reads. The scalar
 /// engine fills `active` from one energy figure; the time-resolved
 /// engine fills it from per-interval convolutions. Everything downstream
-/// (materialise / stream / chunk / parallel) is common code, which is
+/// (materialise / stream / chunk) is common code, which is
 /// what keeps the paths bit-identical to each other.
 #[derive(Clone, Debug)]
 pub(crate) struct EvalTables {
@@ -371,32 +334,6 @@ impl EvalTables {
         self.fill_columns_into(start, end, &mut active, &mut embodied, &mut total);
         (active, embodied, total)
     }
-
-    /// Materialises only the active/embodied columns for `[start, end)` —
-    /// the streaming paths derive totals at the sink, so building the
-    /// third column would be wasted work.
-    fn fill_pairs(&self, start: usize, end: usize) -> (Vec<CarbonMass>, Vec<CarbonMass>) {
-        let mut active = Vec::with_capacity(end - start);
-        let mut embodied = Vec::with_capacity(end - start);
-        self.for_each(start, end, |_, o| {
-            active.push(o.active);
-            embodied.push(o.embodied);
-        });
-        (active, embodied)
-    }
-}
-
-/// Resolves a thread-count request (`0` = available parallelism) against
-/// the number of points.
-fn resolve_threads(threads: usize, n: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(n.max(1))
 }
 
 /// Serial materialisation over the kernel tables.
@@ -429,57 +366,6 @@ pub(crate) fn evaluate_into(space: &ScenarioSpace, tables: &EvalTables, out: &mu
     );
 }
 
-/// Parallel materialisation: one contiguous range per thread, results
-/// concatenated in range order — bit-identical to [`materialise`].
-pub(crate) fn par_materialise(
-    space: &ScenarioSpace,
-    tables: &EvalTables,
-    threads: usize,
-) -> SpaceResults {
-    let n = space.len();
-    // Check the cutoff before resolving threads: `available_parallelism`
-    // is a syscall (cgroup reads on Linux) costing ~10 µs — more than a
-    // whole sub-cutoff batch.
-    if n < PAR_SERIAL_CUTOFF {
-        return materialise(space, tables);
-    }
-    let threads = resolve_threads(threads, n);
-    if threads <= 1 {
-        return materialise(space, tables);
-    }
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(n)))
-        .filter(|(s, e)| s < e)
-        .collect();
-    let mut active = Vec::with_capacity(n);
-    let mut embodied = Vec::with_capacity(n);
-    let mut total = Vec::with_capacity(n);
-    let parts = crossbeam::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| scope.spawn(move |_| tables.fill_columns(start, end)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scenario worker panicked"))
-            .collect::<Vec<_>>()
-    })
-    .expect("crossbeam scope");
-    for (a, e, t) in parts {
-        active.extend(a);
-        embodied.extend(e);
-        total.extend(t);
-    }
-    SpaceResults {
-        space: space.clone(),
-        active: active.into(),
-        embodied: embodied.into(),
-        total: total.into(),
-        sorted: OnceLock::new(),
-    }
-}
-
 /// Serial streaming over the kernel tables: `sink` sees every point in
 /// index order and nothing is materialised.
 pub(crate) fn stream_points(
@@ -496,68 +382,6 @@ pub(crate) fn stream_points(
             outcome,
         });
     });
-}
-
-/// Parallel streaming: the per-point arithmetic runs chunked across
-/// threads in waves of `threads ×` [`STREAM_CHUNK_POINTS`] points, and
-/// the sink drains each wave in index order on the calling thread — so
-/// delivery order and every value match [`stream_points`] exactly while
-/// memory stays bounded by the wave size.
-pub(crate) fn par_stream_points(
-    space: &ScenarioSpace,
-    tables: &EvalTables,
-    threads: usize,
-    mut sink: impl FnMut(PointResult),
-) {
-    let n = space.len();
-    if n < PAR_SERIAL_CUTOFF {
-        return stream_points(space, tables, sink);
-    }
-    let threads = resolve_threads(threads, n);
-    if threads <= 1 {
-        return stream_points(space, tables, sink);
-    }
-    let lookup = space.lookup();
-    let mut wave_start = 0usize;
-    while wave_start < n {
-        let wave_end = (wave_start + threads * STREAM_CHUNK_POINTS).min(n);
-        let ranges: Vec<(usize, usize)> = (0..)
-            .map(|t| {
-                (
-                    wave_start + t * STREAM_CHUNK_POINTS,
-                    (wave_start + (t + 1) * STREAM_CHUNK_POINTS).min(wave_end),
-                )
-            })
-            .take_while(|(s, e)| s < e)
-            .collect();
-        let parts = crossbeam::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(start, end)| scope.spawn(move |_| tables.fill_pairs(start, end)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scenario worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
-        let mut idx = wave_start;
-        for (active, embodied) in parts {
-            for (a, e) in active.into_iter().zip(embodied) {
-                sink(PointResult {
-                    point: lookup
-                        .point(idx)
-                        .expect("kernel indices are in range by construction"),
-                    outcome: PointOutcome {
-                        active: a,
-                        embodied: e,
-                    },
-                });
-                idx += 1;
-            }
-        }
-        wave_start = wave_end;
-    }
 }
 
 /// A contiguous slice of batch results: columns for the points
@@ -1079,25 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let a = Assessment::builder()
-            .energy(paper::effective_energy())
-            .ci_grams_per_kwh(&[50.0, 100.0, 175.0, 250.0, 300.0])
-            .pue_values(&[1.1, 1.2, 1.3, 1.4, 1.5, 1.6])
-            .embodied_linspace(paper::server_embodied_bounds(), 7)
-            .lifespan_linspace(3.0, 7.0, 9)
-            .servers(paper::AMORTISATION_FLEET_SERVERS)
-            .build()
-            .unwrap();
-        let serial = a.evaluate_space();
-        assert_eq!(serial.len(), 5 * 6 * 7 * 9);
-        for threads in [0, 1, 2, 3, 8, 64] {
-            let par = a.par_evaluate_space(threads);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn evaluate_into_reuses_buffers_and_matches_fresh_evaluation() {
         let a = Assessment::paper();
         let fresh = a.evaluate_space();
@@ -1144,9 +949,6 @@ mod tests {
         for (i, p) in streamed.iter().enumerate() {
             assert_eq!(*p, results.get(i).unwrap(), "point {i}");
         }
-        let mut par_streamed = Vec::new();
-        a.par_stream_space(4, |p| par_streamed.push(p));
-        assert_eq!(streamed, par_streamed);
 
         // Chunked: uneven chunk size, full coverage, exact columns.
         let mut idx = 0;
@@ -1166,38 +968,6 @@ mod tests {
         assert_eq!(idx, results.len());
         // Chunk size 0 is clamped, not a panic or infinite loop.
         assert_eq!(a.chunks(0).count(), results.len());
-    }
-
-    #[test]
-    fn parallel_paths_are_bit_identical_across_the_cutoff() {
-        // 20 × 10 × 30 × 28 = 168,000 points — above PAR_SERIAL_CUTOFF,
-        // so the threaded code paths genuinely run.
-        let a = Assessment::builder()
-            .energy(paper::effective_energy())
-            .ci_axis(
-                crate::space::ScenarioAxis::linspace(
-                    "ci",
-                    iriscast_units::Bounds::new(
-                        CarbonIntensity::from_grams_per_kwh(50.0),
-                        CarbonIntensity::from_grams_per_kwh(300.0),
-                    ),
-                    20,
-                )
-                .unwrap(),
-            )
-            .pue_values(&[1.1, 1.15, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.6])
-            .embodied_linspace(paper::server_embodied_bounds(), 30)
-            .lifespan_linspace(3.0, 7.0, 28)
-            .servers(paper::AMORTISATION_FLEET_SERVERS)
-            .build()
-            .unwrap();
-        assert!(a.space().len() >= PAR_SERIAL_CUTOFF);
-        let serial = a.evaluate_space();
-        let par = a.par_evaluate_space(4);
-        assert_eq!(serial, par);
-        let mut streamed_totals = Vec::with_capacity(serial.len());
-        a.par_stream_space(4, |p| streamed_totals.push(p.outcome.total()));
-        assert_eq!(streamed_totals.as_slice(), serial.totals());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   [`iriscast_inventory::FederatedFleet`] defines);
 //! * [`FleetScenario::try_simulate`] shards **sites** across the one
 //!   process-wide persistent worker pool
-//!   ([`iriscast_telemetry::FillBackend::Pool`]); each site collects
+//!   ([`iriscast_telemetry::par::pool_fill_indexed`]); each site collects
 //!   with `workers = 1` (inline on the claiming worker — no nested
 //!   dispatch) using that worker's own recycled
 //!   [`CollectScratch`] arena
@@ -53,9 +53,10 @@
 use crate::error::{Error, Result};
 use crate::iris::IrisScenario;
 use iriscast_grid::stats;
+use iriscast_telemetry::par::pool_fill_indexed;
 use iriscast_telemetry::{
-    CollectScratch, EnergyByMethod, FillBackend, MeterKind, NodeGroupTelemetry, NodePowerModel,
-    SiteCollector, SiteTelemetryConfig, SiteTelemetryResult, SyntheticUtilization, TelemetryResult,
+    CollectScratch, EnergyByMethod, MeterKind, NodeGroupTelemetry, NodePowerModel, SiteCollector,
+    SiteTelemetryConfig, SiteTelemetryResult, SyntheticUtilization, TelemetryResult,
 };
 use iriscast_units::{Energy, Period, Power, SimDuration};
 use std::sync::OnceLock;
@@ -188,7 +189,9 @@ impl FleetScenario {
     /// Inversion of the [`IrisScenario`] strategy: each site collects
     /// with one worker (inline on whichever pool thread claims it, using
     /// that thread's recycled scratch arena), and up to `workers` sites
-    /// are in flight at once. Results are bit-identical for every
+    /// are in flight at once: `workers` caps how many threads of the
+    /// shared pool, the caller included, this call may use. Results are
+    /// bit-identical for every
     /// `workers` value. The first site that fails to collect (zero
     /// nodes, empty window — reachable only by hand-mutating the public
     /// fields) surfaces as its typed
@@ -199,11 +202,11 @@ impl FleetScenario {
         slots.resize_with(self.sites.len(), || None);
         let period = self.period;
         let sites = &self.sites;
-        FillBackend::Pool.fill_indexed(&mut slots, workers, |i, slot| {
+        pool_fill_indexed(&mut slots, workers, |i, slot| {
             let site = &sites[i];
             *slot = Some(CollectScratch::with_thread_local(|scratch| {
                 // workers = 1 ⇒ the inner collect runs inline on this
-                // pool thread (every fill primitive shortcuts the
+                // pool thread (`pool_fill_indexed` shortcuts the
                 // single-worker case), so there is no nested dispatch
                 // and no re-entrant scratch borrow.
                 let result = SiteCollector::collect_config(
@@ -212,7 +215,6 @@ impl FleetScenario {
                     &site.utilization,
                     1,
                     scratch,
-                    FillBackend::Pool,
                 )?;
                 let rollup = SiteRollup::from_result(&result, site.region);
                 scratch.recycle(result);
@@ -222,9 +224,9 @@ impl FleetScenario {
 
         let mut rollup = FleetRollup::new(self.region_codes.clone(), self.period);
         for slot in slots {
-            // Not a data condition: `fill_indexed` writes every slot
+            // Not a data condition: `pool_fill_indexed` writes every slot
             // exactly once by contract, so a `None` is a harness bug.
-            rollup.fold_site(slot.expect("fill_indexed visits every slot")?);
+            rollup.fold_site(slot.expect("pool_fill_indexed visits every slot")?);
         }
         Ok(rollup)
     }

@@ -13,9 +13,8 @@
 use crate::paper::{self, Table2Row};
 use iriscast_inventory::{iris as iris_inv, Fleet};
 use iriscast_telemetry::{
-    aggregate, CollectScratch, FillBackend, MeterKind, NodeGroupTelemetry, NodePowerModel,
-    SiteCollector, SiteEnergyReport, SiteTelemetryConfig, SiteTelemetryResult,
-    SyntheticUtilization,
+    aggregate, CollectScratch, MeterKind, NodeGroupTelemetry, NodePowerModel, SiteCollector,
+    SiteEnergyReport, SiteTelemetryConfig, SiteTelemetryResult, SyntheticUtilization,
 };
 use iriscast_units::{Energy, Period, SimDuration};
 
@@ -228,7 +227,6 @@ impl IrisScenario {
                 &site.utilization,
                 workers,
                 scratch,
-                FillBackend::default(),
             )?;
             rows.push(SiteEnergyReport::from_result(&result));
             site_results.push(result);

@@ -47,9 +47,12 @@
 //! [`engine::Assessment`] couples one energy figure and one fleet to a
 //! [`space::ScenarioSpace`] — the cartesian product of carbon-intensity,
 //! PUE, embodied-carbon and lifespan axes of *any* length — and evaluates
-//! `total = active + embodied` at every point, serially
-//! ([`engine::Assessment::evaluate_space`]) or chunked across threads
-//! ([`engine::Assessment::par_evaluate_space`], bit-identical results).
+//! `total = active + embodied` at every point, materialised
+//! ([`engine::Assessment::evaluate_space`]), streamed point by point
+//! ([`engine::Assessment::stream_space`]) or in bounded chunks
+//! ([`engine::Assessment::chunks`]), all bit-identical. The sweep is
+//! serial: per-point work is two table reads and an add, and thread
+//! fan-out did not beat the serial loop in the committed benches.
 //!
 //! The paper-shaped types predate the engine and are kept as **thin
 //! adapters** over it, cell-for-cell and bit-for-bit compatible:

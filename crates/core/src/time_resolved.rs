@@ -19,12 +19,11 @@
 //! Every batch path of the scalar engine is available unchanged —
 //! materialised ([`TimeResolvedAssessment::evaluate_space`]), streamed
 //! ([`TimeResolvedAssessment::stream_space`], bounded memory for sweeps
-//! past 10M points), chunked ([`TimeResolvedAssessment::chunks`]) and
-//! parallel (bit-identical to serial) — because the convolutions are
-//! factored into the same per-(CI, PUE) kernel tables the scalar engine
-//! uses: per-point cost stays two table reads regardless of series
-//! length. Per-interval detail for one scenario comes back as a
-//! [`CarbonProfile`].
+//! past 10M points) and chunked ([`TimeResolvedAssessment::chunks`]) —
+//! because the convolutions are factored into the same per-(CI, PUE)
+//! kernel tables the scalar engine uses: per-point cost stays two table
+//! reads regardless of series length. Per-interval detail for one
+//! scenario comes back as a [`CarbonProfile`].
 //!
 //! ```
 //! use iriscast_model::time_resolved::TimeResolvedAssessment;
@@ -64,8 +63,8 @@
 
 use crate::embodied::fleet_snapshot_daily;
 use crate::engine::{
-    chunks_over, evaluate_into, materialise, par_materialise, par_stream_points, stream_points,
-    AssessmentBuilder, EvalTables, PointOutcome, PointResult, SpaceChunks, SpaceResults,
+    chunks_over, evaluate_into, materialise, stream_points, AssessmentBuilder, EvalTables,
+    PointOutcome, PointResult, SpaceChunks, SpaceResults,
 };
 use crate::error::{Error, Result};
 use crate::space::{ScenarioAxis, ScenarioPoint, ScenarioSpace};
@@ -252,26 +251,11 @@ impl TimeResolvedAssessment {
         evaluate_into(&self.space, self.tables(), out);
     }
 
-    /// [`TimeResolvedAssessment::evaluate_space`] chunked across
-    /// `threads` OS threads, bit-identical to serial (`0` = available
-    /// parallelism; small spaces fall back to serial — see
-    /// [`crate::engine::PAR_SERIAL_CUTOFF`]).
-    pub fn par_evaluate_space(&self, threads: usize) -> SpaceResults {
-        par_materialise(&self.space, self.tables(), threads)
-    }
-
     /// Streams every point, in index order, to `sink` without
     /// materialising result columns: memory stays O(axes), not
     /// O(points), so >10M-point day-sweeps run in a bounded footprint.
     pub fn stream_space(&self, sink: impl FnMut(PointResult)) {
         stream_points(&self.space, self.tables(), sink);
-    }
-
-    /// Streamed evaluation with the per-point arithmetic chunked across
-    /// `threads` OS threads. Delivery order and every value are
-    /// bit-identical to [`TimeResolvedAssessment::stream_space`].
-    pub fn par_stream_space(&self, threads: usize, sink: impl FnMut(PointResult)) {
-        par_stream_points(&self.space, self.tables(), threads, sink);
     }
 
     /// Iterates the space as materialised chunks of at most
@@ -689,14 +673,9 @@ mod tests {
         );
         let results = a.evaluate_space();
         assert_eq!(results.len(), 3 * 3 * 2 * 3);
-        let par = a.par_evaluate_space(4);
-        assert_eq!(results, par);
 
         let mut streamed = Vec::new();
         a.stream_space(|p| streamed.push(p));
-        let mut par_streamed = Vec::new();
-        a.par_stream_space(3, |p| par_streamed.push(p));
-        assert_eq!(streamed, par_streamed);
         for (i, p) in streamed.iter().enumerate() {
             assert_eq!(*p, results.get(i).unwrap(), "point {i}");
             assert_eq!(*p, a.evaluate(i).unwrap(), "point {i}");

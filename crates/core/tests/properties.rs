@@ -298,56 +298,8 @@ proptest! {
         }
     }
 
-    /// `par_evaluate_space` is bit-identical to `evaluate_space` for any
-    /// space shape and thread count.
-    #[test]
-    fn parallel_evaluation_matches_serial(
-        kwh in 100.0..1e6f64,
-        n_ci in 1usize..6,
-        n_pue in 1usize..5,
-        n_emb in 1usize..5,
-        n_life in 1usize..6,
-        threads in 0usize..9,
-        servers in 0u32..5_000,
-    ) {
-        let a = Assessment::builder()
-            .energy(Energy::from_kilowatt_hours(kwh))
-            .ci_axis(iriscast_model::ScenarioAxis::linspace(
-                "ci",
-                Bounds::new(
-                    CarbonIntensity::from_grams_per_kwh(10.0),
-                    CarbonIntensity::from_grams_per_kwh(500.0),
-                ),
-                n_ci,
-            ).unwrap())
-            .pue_axis(iriscast_model::ScenarioAxis::linspace(
-                "pue",
-                Bounds::new(Pue::new(1.05).unwrap(), Pue::new(2.2).unwrap()),
-                n_pue,
-            ).unwrap())
-            .embodied_linspace(
-                Bounds::new(
-                    CarbonMass::from_kilograms(100.0),
-                    CarbonMass::from_kilograms(1_500.0),
-                ),
-                n_emb,
-            )
-            .lifespan_linspace(1.0, 12.0, n_life)
-            .servers(servers)
-            .build()
-            .unwrap();
-        let serial = a.evaluate_space();
-        prop_assert_eq!(serial.len(), n_ci * n_pue * n_emb * n_life);
-        let par = a.par_evaluate_space(threads);
-        prop_assert_eq!(&serial, &par);
-        // Exactness, not tolerance: every column, every point.
-        prop_assert_eq!(serial.totals(), par.totals());
-        prop_assert_eq!(serial.active(), par.active());
-        prop_assert_eq!(serial.embodied(), par.embodied());
-    }
-
-    /// Time-resolved evaluation: the streamed, materialised, chunked and
-    /// parallel paths agree bit-for-bit, and each point equals the
+    /// Time-resolved evaluation: the streamed, materialised and chunked
+    /// paths agree bit-for-bit, and each point equals the
     /// per-slot scalar summation through `evaluate_one` — the property
     /// that makes the time-resolved engine a strict generalisation of
     /// the scalar one.
@@ -360,23 +312,15 @@ proptest! {
         n_pue in 1usize..5,
         n_emb in 1usize..3,
         n_life in 1usize..4,
-        threads in 0usize..5,
         servers in 1u32..5_000,
     ) {
         let a = time_resolved_fixture(slots, kwh, fine, n_ci, n_pue, n_emb, n_life, servers);
         let results = a.evaluate_space();
         prop_assert_eq!(results.len(), n_ci * n_pue * n_emb * n_life);
 
-        // Materialised ≡ parallel-materialised.
-        let par = a.par_evaluate_space(threads);
-        prop_assert_eq!(&results, &par);
-
-        // Materialised ≡ streamed ≡ parallel-streamed, point for point.
+        // Materialised ≡ streamed, point for point.
         let mut streamed = Vec::with_capacity(results.len());
         a.stream_space(|p| streamed.push(p));
-        let mut par_streamed = Vec::with_capacity(results.len());
-        a.par_stream_space(threads, |p| par_streamed.push(p));
-        prop_assert_eq!(&streamed, &par_streamed);
         for (i, p) in streamed.iter().enumerate() {
             prop_assert_eq!(*p, results.get(i).unwrap());
             prop_assert_eq!(*p, a.evaluate(i).unwrap());

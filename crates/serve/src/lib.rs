@@ -17,9 +17,11 @@
 //!    samples) into a block of scenario rows, then folded into the
 //!    site's growing [`SpaceResults`] ensemble via `extend_rows` — the
 //!    incremental path that keeps the cached sorted view warm by
-//!    galloping merge instead of re-sorting. Evaluation parallelises
-//!    freely ([`AssessmentService::ingest_batch`]); folds are
-//!    serialized per site in sequence order through a reorder buffer,
+//!    galloping merge instead of re-sorting. Evaluation runs on the
+//!    shared worker pool in waves of `workers` records
+//!    ([`AssessmentService::ingest_batch`]); each wave is folded in
+//!    input order and serialized per site in sequence order through a
+//!    reorder buffer,
 //!    so the resulting state is **bit-identical at every worker
 //!    count** — the property suite pins 1 ≡ 16 workers against a
 //!    sequential batch recompute.

@@ -3,9 +3,10 @@
 
 use crate::error::{ServeError, ServeResult};
 use crate::record::SnapshotRecord;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use iriscast_model::engine::{Assessment, Envelope, Marginal, SpaceResults, TotalsSummary};
 use iriscast_model::space::{AxisId, ScenarioAxis};
+use iriscast_telemetry::par::pool_fill_indexed;
 use iriscast_units::{Bounds, CarbonMass, Energy};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -101,7 +102,8 @@ struct Tenant {
 /// that serializes out-of-order arrivals back into `seq` order.
 #[derive(Debug)]
 struct SiteState {
-    model: SiteModel,
+    /// Shared with every in-flight evaluation of the site's records.
+    model: Arc<SiteModel>,
     results: Option<SpaceResults>,
     /// Next sequence number to fold.
     next_seq: u64,
@@ -299,7 +301,7 @@ impl AssessmentService {
         inner.sites.insert(
             site,
             SiteState {
-                model,
+                model: Arc::new(model),
                 results: None,
                 next_seq: 0,
                 pending: BTreeMap::new(),
@@ -347,11 +349,11 @@ impl AssessmentService {
     }
 
     /// Looks up the model a record will be evaluated under.
-    fn model_of(&self, site: &str) -> ServeResult<SiteModel> {
+    fn model_of(&self, site: &str) -> ServeResult<Arc<SiteModel>> {
         self.read()
             .sites
             .get(site)
-            .map(|s| s.model.clone())
+            .map(|s| Arc::clone(&s.model))
             .ok_or_else(|| ServeError::UnknownSite { site: site.into() })
     }
 
@@ -389,60 +391,43 @@ impl AssessmentService {
         self.fold_evaluated(record, block)
     }
 
-    /// Ingests a batch with `workers` parallel evaluation threads
-    /// (1 = inline). Evaluation — the expensive part — is distributed;
-    /// folds are applied through the per-site reorder buffer in `seq`
-    /// order, so the resulting state is **bit-identical at every worker
-    /// count** (the property suite pins 1 ≡ 16). Returns the number of
-    /// snapshots folded.
+    /// Ingests a batch, evaluating on the shared worker pool with at
+    /// most `workers` of its threads (1 = inline on the caller's
+    /// thread). Records are taken in waves of `workers`: a wave is
+    /// evaluated in parallel, then its blocks are folded in input order
+    /// through the per-site reorder buffer, so the resulting state is
+    /// **bit-identical at every worker count** (the property suite pins
+    /// 1 ≡ 16). Returns the number of snapshots ingested.
     ///
     /// An unknown site or an invalid energy anywhere in the batch fails
-    /// it before any evaluation starts, so nothing is folded.
+    /// it before any evaluation starts, so nothing is folded. Any other
+    /// refusal (a model that cannot build the record's assessment, a
+    /// stale or repeated `seq`) stops the batch at that record: the
+    /// records before it are ingested and none after it, exactly as at
+    /// one worker.
     pub fn ingest_batch(&self, records: &[SnapshotRecord], workers: usize) -> ServeResult<usize> {
         // Resolve every model and check every energy up front so a bad
         // record fails the batch before any evaluation work starts.
-        let jobs: Vec<(SnapshotRecord, SiteModel)> = records
+        let models: Vec<Arc<SiteModel>> = records
             .iter()
             .map(|r| {
                 let model = self.model_of(&r.site)?;
                 r.check_energy()?;
-                Ok((r.clone(), model))
+                Ok(model)
             })
             .collect::<ServeResult<_>>()?;
-        if workers <= 1 {
-            for (record, model) in &jobs {
-                let block = model.evaluate(record)?;
+        let wave = workers.max(1);
+        let mut blocks: Vec<Option<ServeResult<SpaceResults>>> = Vec::with_capacity(wave);
+        for (wave_records, wave_models) in records.chunks(wave).zip(models.chunks(wave)) {
+            blocks.resize_with(wave_records.len(), || None);
+            pool_fill_indexed(&mut blocks, workers, |i, block| {
+                *block = Some(wave_models[i].evaluate(&wave_records[i]));
+            });
+            for (record, block) in wave_records.iter().zip(blocks.drain(..)) {
+                let block = block.expect("pool_fill_indexed visits every slot")?;
                 self.fold_evaluated(record, block)?;
             }
-            return Ok(records.len());
         }
-        let (job_tx, job_rx) = unbounded();
-        let (done_tx, done_rx) = unbounded();
-        for job in jobs {
-            job_tx.send(job).expect("receiver alive");
-        }
-        drop(job_tx);
-        thread::scope(|s| {
-            for _ in 0..workers {
-                let job_rx = job_rx.clone();
-                let done_tx = done_tx.clone();
-                s.spawn(move || {
-                    while let Ok((record, model)) = job_rx.recv() {
-                        let block = model.evaluate(&record);
-                        if done_tx.send((record, block)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-            // Fold in arrival order — the reorder buffer restores seq
-            // order per site, whatever the thread interleaving did.
-            while let Ok((record, block)) = done_rx.recv() {
-                self.fold_evaluated(&record, block?)?;
-            }
-            Ok::<(), ServeError>(())
-        })?;
         Ok(records.len())
     }
 
@@ -481,8 +466,9 @@ impl AssessmentService {
         IngestHandle { join }
     }
 
-    /// Parses an NDJSON ingest stream and folds it with `workers`
-    /// evaluation threads. Returns the number of snapshots folded.
+    /// Parses an NDJSON ingest stream and ingests it with
+    /// [`AssessmentService::ingest_batch`]. Returns the number of
+    /// snapshots ingested.
     pub fn ingest_ndjson(&self, input: &str, workers: usize) -> ServeResult<usize> {
         let records = SnapshotRecord::parse_ndjson(input)?;
         self.ingest_batch(&records, workers)

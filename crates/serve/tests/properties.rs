@@ -259,6 +259,53 @@ proptest! {
         }
     }
 
+    /// A batch that stops at a refusal leaves the same state at every
+    /// worker count: the refused record's error, the watermark and the
+    /// warm percentiles all equal the one-worker run's, however the
+    /// evaluation threads were scheduled. Two refusals are exercised: a
+    /// repeated `seq` (refused at the fold) and an inverted window
+    /// (refused when its assessment is built).
+    #[test]
+    fn failed_batch_leaves_the_same_state_at_every_worker_count(
+        energies in prop::collection::vec(500.0f64..30_000.0, 8..48),
+        at in 1usize..48,
+        dup in 0usize..48,
+        kind in 0u8..2,
+    ) {
+        let mut batch = records("CAM", &energies, 6);
+        let at = at % batch.len();
+        if kind == 0 {
+            let r = &mut batch[at];
+            std::mem::swap(&mut r.window_start_s, &mut r.window_end_s);
+        } else {
+            let repeat = batch[dup % at].clone();
+            batch.insert(at, repeat);
+        }
+        let run = |workers: usize| {
+            let service = AssessmentService::new();
+            service.register_site("CAM", model()).unwrap();
+            let err = service.ingest_batch(&batch, workers).unwrap_err();
+            let bits: Vec<Option<u64>> = [0.0, 0.25, 0.5, 0.95, 1.0]
+                .iter()
+                .map(|&q| {
+                    service
+                        .percentile("CAM", q)
+                        .ok()
+                        .map(|c| c.kilograms().to_bits())
+                })
+                .collect();
+            (err, service.watermark("CAM").unwrap(), bits)
+        };
+        let serial = run(1);
+        prop_assert_eq!(serial.1.folded, at as u64);
+        prop_assert_eq!(serial.1.pending, 0);
+        for workers in [4, 16] {
+            for _ in 0..5 {
+                prop_assert_eq!(&run(workers), &serial, "workers = {}", workers);
+            }
+        }
+    }
+
     /// A replayed sequence number is refused without corrupting the
     /// folded state.
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::error::{TelemetryError, TelemetryResult};
 use crate::meter::{MeterErrorModel, MeterKind, PowerMeter};
-use crate::par::FillBackend;
+use crate::par::pool_fill_indexed;
 use crate::power::PowerCurve;
 use crate::register::{decode_register_readings, CumulativeRegister};
 use crate::sources::{splitmix64, UtilizationSource};
@@ -530,10 +530,10 @@ impl CollectScratch {
     /// scratch per *call* would rebuild the chunk arena 10,000 times and
     /// a single shared scratch would serialise the workers; one arena
     /// per worker **thread** is the right granularity. Pool workers are
-    /// persistent (see [`crate::par::FillBackend::Pool`]), so the arena
-    /// warms up once per thread per process and every later site collect
-    /// on that worker reuses it. Results are bit-identical to any other
-    /// scratch provenance — buffers never influence arithmetic.
+    /// persistent (see [`crate::par`]), so the arena warms up once per
+    /// thread per process and every later site collect on that worker
+    /// reuses it. Results are bit-identical to any other scratch
+    /// provenance — buffers never influence arithmetic.
     ///
     /// Re-entrancy: `f` must not call `with_thread_local` again on the
     /// same thread (the arena is exclusively borrowed for the duration);
@@ -636,8 +636,10 @@ impl SiteCollector {
         &self.config
     }
 
-    /// Sweeps the fleet over `period`, sampling every `config.sample_step`,
-    /// with `workers` parallel threads (1 = serial).
+    /// Sweeps the fleet over `period`, sampling every `config.sample_step`.
+    /// Node chunks run on the shared worker pool ([`crate::par`]), and
+    /// `workers` caps how many of its threads this call may use
+    /// (1 = inline on the caller's thread).
     ///
     /// A window with no sample instants (zero/negative length — partial
     /// windows round up to one sample) or a fleet of zero nodes is a
@@ -669,25 +671,7 @@ impl SiteCollector {
         workers: usize,
         scratch: &mut CollectScratch,
     ) -> TelemetryResult<SiteTelemetryResult> {
-        self.collect_with_backend(period, utilization, workers, scratch, FillBackend::Pool)
-    }
-
-    /// [`SiteCollector::collect_with`] with an explicit parallel
-    /// execution backend. `Pool` (the default everywhere else) reuses
-    /// the persistent worker pool; `Spawn` spawns scoped threads per
-    /// call like the pre-pool collector did. The two are bit-identical —
-    /// chunking, arithmetic and fold order never depend on the backend —
-    /// which the property suite pins; this entry point exists so benches
-    /// and tests can compare them.
-    pub fn collect_with_backend(
-        &self,
-        period: Period,
-        utilization: &dyn UtilizationSource,
-        workers: usize,
-        scratch: &mut CollectScratch,
-        backend: FillBackend,
-    ) -> TelemetryResult<SiteTelemetryResult> {
-        SiteCollector::collect_config(&self.config, period, utilization, workers, scratch, backend)
+        SiteCollector::collect_config(&self.config, period, utilization, workers, scratch)
     }
 
     /// One collect straight off a **borrowed** config — the plumbing hot
@@ -704,7 +688,6 @@ impl SiteCollector {
         utilization: &dyn UtilizationSource,
         workers: usize,
         scratch: &mut CollectScratch,
-        backend: FillBackend,
     ) -> TelemetryResult<SiteTelemetryResult> {
         let (steps, nodes) = Self::validate_sweep(cfg, period)?;
         let passes = MeterPasses::for_config(cfg);
@@ -720,14 +703,14 @@ impl SiteCollector {
         for acc in chunk_slots.iter_mut() {
             acc.reset(steps);
         }
-        backend.fill_indexed(chunk_slots, workers, |chunk_idx, acc| {
+        pool_fill_indexed(chunk_slots, workers, |chunk_idx, acc| {
             let lo = (chunk_idx * CHUNK_NODES) as u64;
             let hi = (((chunk_idx + 1) * CHUNK_NODES).min(nodes)) as u64;
             acc.lanes.prime(cfg, lo, hi, ipmi_limit);
 
             // Time-outer sweep over flat columns; the per-instant kernel
             // is shared with the stepped path (see `sweep_chunk_step`),
-            // so results stay invariant under worker count, backend, and
+            // so results stay invariant under worker count and
             // batch-vs-stepped driving.
             for (s, t) in period.iter_steps(cfg.sample_step).enumerate() {
                 sweep_chunk_step(acc, &passes, s, t, lo, utilization, StepFaults::clear());

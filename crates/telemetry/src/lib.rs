@@ -22,9 +22,10 @@
 //! * [`aggregate`] — node→site roll-ups and the Table 2 report structure;
 //! * [`quality`] — cross-method adjustment factors (the paper's
 //!   "potentially adjusting measurements" discussion);
-//! * [`par`] — deterministic chunked parallelism: per-call scoped
-//!   threads and a persistent worker pool, bit-identical to each other
-//!   and to serial at every worker count.
+//! * [`par`] — deterministic parallelism on one persistent worker pool
+//!   ([`par::pool_fill_indexed`]), bit-identical to serial at every
+//!   worker count; a call's `workers` caps how many pool threads it
+//!   may use.
 //!
 //! # Example
 //!
@@ -63,7 +64,6 @@ pub use collector::{
 pub use error::{TelemetryError, TelemetryResult};
 pub use meter::{MeterErrorModel, MeterKind, MeterReading, PowerMeter};
 pub use network::{SiteNetwork, SwitchPowerModel};
-pub use par::FillBackend;
 pub use power::{NodePowerModel, PowerCurve};
 pub use quality::{MethodAdjustment, QualityReport};
 pub use rack::{rack_energies, RackEnergyReport, RackLayout};

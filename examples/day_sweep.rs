@@ -79,11 +79,6 @@ fn main() {
         space.len()
     );
     let results = assessment.evaluate_space();
-    assert_eq!(
-        results,
-        assessment.par_evaluate_space(0),
-        "parallel must equal serial exactly"
-    );
 
     // ---- Which day the workload runs on is a first-class axis ----------
     // Marginalising over the day axis: the envelope of mean totals across

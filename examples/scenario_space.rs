@@ -5,9 +5,9 @@
 //! values per input. This example refines the same published ranges —
 //! CI 50–300 g/kWh, PUE 1.1–1.6, embodied 400–1,100 kg/server, lifespan
 //! 3–7 years — into a 20 × 10 × 10 × 6 cartesian product, evaluates it in
-//! one batch (serial and parallel, identical results), and asks questions
-//! a 3 × 3 table cannot answer: where does the probability mass sit, and
-//! which input leaves the most uncertainty unresolved?
+//! one batch, and asks questions a 3 × 3 table cannot answer: where does
+//! the probability mass sit, and which input leaves the most uncertainty
+//! unresolved?
 //!
 //! Run with: `cargo run --release --example scenario_space`
 
@@ -53,11 +53,8 @@ fn main() {
     );
     assert!(space.len() >= 10_000);
 
-    // 2. Evaluate the whole space — and check the parallel path agrees
-    //    bit-for-bit.
+    // 2. Evaluate the whole space.
     let results = assessment.evaluate_space();
-    let parallel = assessment.par_evaluate_space(0);
-    assert_eq!(results, parallel, "parallel must equal serial exactly");
 
     // 3. Envelope and distribution. The corner-to-corner envelope is the
     //    paper's §6 range; percentiles show how extreme the corners are.

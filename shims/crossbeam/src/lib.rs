@@ -1,75 +1,8 @@
-//! Offline stand-in for `crossbeam`: scoped threads backed by
-//! `std::thread::scope` (stable since 1.63, it provides the same
-//! capability crossbeam pioneered) and the [`channel`] module's
+//! Offline stand-in for `crossbeam`: the [`channel`] module's
 //! multi-producer multi-consumer queues (the slice of
-//! `crossbeam-channel` the telemetry worker pool uses).
-//!
-//! One intentional divergence: crossbeam's `spawn` closure receives
-//! `&Scope` for nested spawning; iriscast always ignores that argument
-//! (`|_| ...`), so the shim passes `()` instead — which keeps the
-//! lifetimes trivial.
+//! `crossbeam-channel` the telemetry worker pool, the assessment
+//! service's ingest loop and the socket transport use).
 
 #![deny(missing_docs)]
 
 pub mod channel;
-
-/// Result type of [`scope`]: `Err` would carry a child panic payload, but
-/// this shim propagates child panics directly (std semantics), so callers'
-/// `.expect(...)` simply never fires.
-pub type ScopeResult<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
-
-/// Handle for spawning threads inside a [`scope`] call.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread. The closure's argument is a placeholder
-    /// (crossbeam passes a re-borrowed `&Scope` there).
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(()) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        self.inner.spawn(move || f(()))
-    }
-}
-
-/// Runs `f` with a scope handle; all spawned threads are joined before
-/// this returns. A panicking child re-panics here (std semantics) rather
-/// than surfacing through the `Err` variant.
-pub fn scope<'env, F, R>(f: F) -> ScopeResult<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
-#[cfg(test)]
-mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn spawned_threads_all_run_and_join() {
-        let counter = AtomicUsize::new(0);
-        super::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        })
-        .unwrap();
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn scope_returns_closure_value() {
-        let v = super::scope(|scope| {
-            let h = scope.spawn(|_| 21);
-            h.join().unwrap() * 2
-        })
-        .unwrap();
-        assert_eq!(v, 42);
-    }
-}

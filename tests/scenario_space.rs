@@ -1,5 +1,5 @@
 //! Integration tests for the scenario-space engine at scale: a
-//! ≥10,000-point space evaluated serially and in parallel, queried, and
+//! ≥10,000-point space evaluated in one batch, queried, and
 //! checked for consistency with the paper-shaped compat surface.
 
 use iriscast::prelude::*;
@@ -106,16 +106,6 @@ fn quantile_paths_and_buffer_reuse_agree_end_to_end() {
         reused.percentile(0.95).unwrap(),
         results.percentile(0.95).unwrap()
     );
-}
-
-#[test]
-fn parallel_equals_serial_on_large_space() {
-    let assessment = dense_paper_space();
-    let serial = assessment.evaluate_space();
-    for threads in [0, 2, 5, 16] {
-        let par = assessment.par_evaluate_space(threads);
-        assert_eq!(serial, par, "threads = {threads}");
-    }
 }
 
 #[test]
